@@ -30,11 +30,10 @@ against each other (``tests/test_fastpath_equivalence.py``,
   unsupported configs or program shapes). Observability sinks attach
   natively: the engine reconstructs the scalar engines' event stream
   from its epoch schedule (:mod:`repro.obs.reconstruct`). Its run
-  splits into an exact timing sweep and a service replay
-  (:mod:`repro.mp5.epochs`), which optionally engages the fused native
-  kernel tier (:mod:`repro.compiler.native`, ``native=True``) and
-  residue-class multi-core execution (``epoch_jobs``) — both
-  byte-identical to the plain NumPy path.
+  streams epoch by epoch — an exact timing sweep closes each epoch and
+  the stateful service runs it at once (:mod:`repro.mp5.epochs`) — on
+  the plain NumPy path or the fused native kernel tier
+  (:mod:`repro.compiler.native`, ``native=True``), byte-identically.
 
 Pick one by name through :data:`ENGINES` (the ``--engine`` CLI flag)::
 
@@ -53,13 +52,7 @@ Public surface::
 from ..compiler.native import native_available, native_unavailable_reason
 from .config import MP5Config
 from .crossbar import CrossbarTelemetry
-from .epochs import (
-    EpochSchedule,
-    EpochStreamer,
-    build_epoch_schedule,
-    execute_epoch_service,
-    execute_service,
-)
+from .epochs import EpochSchedule, EpochStreamer, execute_epoch_service
 from .fifo import IdealOrderBuffer, Slot, StageFifoGroup
 from .packet import DataPacket, PhantomPacket, StateAccess
 from .partition import LogicalPartition, PartitionedMP5, PartitionResult
@@ -67,7 +60,12 @@ from .reference import ReferenceSwitch, run_mp5_reference
 from .sharding import ShardedArray, ShardingRuntime
 from .stats import C1Report, SwitchStats, c1_metrics, c1_violations
 from .switch import FLOW_ORDER_ARRAY, MP5Switch, run_mp5
-from .vector import VectorSwitch, VectorUnsupported, run_mp5_vector
+from .vector import (
+    VectorSwitch,
+    VectorUnsupported,
+    run_mp5_vector,
+    select_vector_engine,
+)
 
 #: Engine registry: every runner shares the signature of
 #: :func:`~repro.mp5.switch.run_mp5` and produces identical results.
@@ -83,12 +81,11 @@ __all__ = [
     "EpochStreamer",
     "VectorSwitch",
     "VectorUnsupported",
-    "build_epoch_schedule",
     "execute_epoch_service",
-    "execute_service",
     "native_available",
     "native_unavailable_reason",
     "run_mp5_vector",
+    "select_vector_engine",
     "CrossbarTelemetry",
     "DataPacket",
     "FLOW_ORDER_ARRAY",

@@ -1,6 +1,6 @@
-"""Epoch schedule construction and (parallel) service execution.
+"""Epoch schedule construction and per-epoch service execution.
 
-The batch engine's run splits into two exact phases, hinging on one
+The vector engine's run splits into two exact phases, hinging on one
 structural fact the scalar engines establish: **every access index is
 resolved at the resolution stage** (stage 0 plus the stateless transit
 stages before the first plan stage), which contains no stateful
@@ -9,7 +9,7 @@ layer — injection ticks, FIFO group membership, pop chains, access and
 in-flight counters, and every remap decision derived from them.
 
 * **Phase A** (:class:`EpochStreamer`) — the sequential sweep over
-  remap epochs, now *incremental*: :meth:`EpochStreamer.ingest`
+  remap epochs, run *incrementally*: :meth:`EpochStreamer.ingest`
   extends the injection recurrence as packets arrive, and
   :meth:`EpochStreamer.advance_epoch` processes one epoch cut as soon
   as the ingest watermark proves its arrivals are complete (every
@@ -18,35 +18,23 @@ in-flight counters, and every remap decision derived from them.
   their pop chains (``pop[j] = max(pop[j-1] + 1, insert[j])``), drives
   the real :class:`~repro.mp5.sharding.ShardingRuntime` at every
   boundary, and records *who pops when, from which pipeline* — but
-  performs no stateful service. :func:`build_epoch_schedule` is the
-  batch entry point: one ingest, drain, and :meth:`finalize` into an
-  :class:`EpochSchedule`, the run's task DAG — per-plan pop streams in
-  epoch order, independent of feed chunking, the native tier, and the
-  worker count.
+  performs no stateful service. Each processed cut yields the epoch's
+  service step; :meth:`EpochStreamer.finalize` snapshots the finished
+  sweep as an :class:`EpochSchedule`, the per-packet timeline the
+  statistics and trace reconstruction read.
 
-* **Phase B** — replays the schedule against register state, plan by
-  plan (:func:`execute_service`, the batch path) or epoch by epoch as
-  Phase A emits them (:func:`execute_epoch_service`, the streaming
-  path). Per-row order only matters *within* a register slot, and an
-  epoch's pops all exceed the previous epoch's cut, so the per-epoch
-  execution concatenates to exactly the batch service order. Each plan
-  admits three executions that are exact by construction: the NumPy
-  wave decomposition (PR 5 semantics, per-epoch chunk), a fused
-  per-row kernel in service order (:mod:`repro.compiler.native` —
-  Numba-jitted or plain Python), and, for ``wave``-category plans, a
-  **residue-class partition**: rows with ``index % nparts == w`` touch
-  register slots and SoA rows disjoint from every other part, so the
-  parts execute on separate workers against one
-  ``multiprocessing.shared_memory`` segment and the merged state is
-  byte-identical at any worker count.
-
-Workers come from the PR 1 pool (:mod:`repro.harness.parallel`) with an
-initializer that compiles kernels once per worker; tasks name the
-shared segment they read, so one pool survives across epochs and
-dispatches. Any pool or shared-memory failure leaves the caller's
-arrays untouched (batch path: restores the pre-plan snapshot) and
-re-executes in process — silent, like every other engine fallback,
-because the serial path is bit-for-bit the same reduction.
+* **Phase B** (:func:`execute_epoch_service`) — services each step
+  against register state as soon as Phase A emits it, in plan order.
+  Per-row order only matters *within* a register slot, and an epoch's
+  pops all exceed the previous epoch's cut, so servicing epoch after
+  epoch visits every register slot in the scalar engines' global
+  (tick, pipeline) order. A plan's step runs one of two executions
+  that are exact by construction: the NumPy wave decomposition (rows
+  touching distinct indices execute together, same-index rows in
+  successive waves) or a fused per-row kernel in service order
+  (:mod:`repro.compiler.native` — Numba-jitted or plain Python).
+  Everything runs in process; the kernel tier is a performance knob
+  only, and every tier produces byte-identical results.
 """
 
 from __future__ import annotations
@@ -61,20 +49,7 @@ from ..compiler.tac import Const
 from ..domino.builtins import hash2
 
 
-def _parallel():
-    """The pool module, imported lazily: ``repro.harness`` pulls in the
-    workload package, which imports ``repro.mp5`` — importing it at
-    module scope would close that cycle during interpreter startup."""
-    from ..harness import parallel
-
-    return parallel
-
-
 _FAR = 1 << 62  # sentinel horizon: beyond any reachable tick
-
-#: Minimum rows in a plan's stream before residue partitioning is worth
-#: a worker round-trip (below this, pickling dwarfs the service work).
-PARALLEL_MIN_ROWS = 4096
 
 
 def _grown(arr: np.ndarray, n: int, fill=None) -> np.ndarray:
@@ -135,13 +110,14 @@ class _RegView:
 
 
 class EpochSchedule:
-    """Phase A's output: the timing of one run, service still pending.
+    """Phase A's output: the timing of one finished run.
 
-    ``chunks[pi]`` holds plan ``pi``'s pop stream as per-epoch
-    ``(rows, pops)`` pairs in epoch order; the popped pipeline of a row
-    is ``dest[pi][row]`` (group membership is fixed at inject). The
-    remaining arrays are the per-packet timeline the statistics
-    reconstruction consumes.
+    Per-plan arrays are indexed by packet row: ``dest[pi]`` is the
+    pipeline plan ``pi`` steered the row to (group membership is fixed
+    at inject), ``ins_tick``/``pop_tick`` its FIFO insert and pop ticks
+    (-1 if never reached), ``acc_idx`` its access index. Together with
+    the egress columns and the remap records they are the per-packet
+    timeline the statistics and trace reconstruction consume.
     """
 
     __slots__ = (
@@ -152,7 +128,6 @@ class EpochSchedule:
         "ins_tick",
         "pop_tick",
         "groups",
-        "chunks",
         "egr_tick",
         "egr_pipe",
         "injected",
@@ -163,40 +138,18 @@ class EpochSchedule:
         "remap_records",
     )
 
-    def plan_stream(self, pi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Plan ``pi``'s whole-run pop stream, concatenated epoch order."""
-        pieces = self.chunks[pi]
-        if not pieces:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if len(pieces) == 1:
-            return pieces[0]
-        rows = np.concatenate([c[0] for c in pieces])
-        pops = np.concatenate([c[1] for c in pieces])
-        return rows, pops
-
-    def service_order(self, pi: int) -> np.ndarray:
-        """Plan ``pi``'s rows sorted into global (tick, pipeline)
-        service order — the scalar engines' serialization order. Keys
-        are unique: each (plan, pipeline) group pops once per tick."""
-        rows, pops = self.plan_stream(pi)
-        if rows.size == 0:
-            return rows
-        return rows[np.lexsort((self.dest[pi][rows], pops))]
-
     def dag_signature(self) -> str:
-        """Digest of the task DAG — everything Phase B consumes. Equal
-        signatures mean equal service work regardless of worker count
-        or kernel tier (the determinism contract's test hook)."""
+        """Digest of the task DAG — who pops when, from which pipeline,
+        at which index, and where each epoch ends. Equal signatures mean
+        equal service work regardless of kernel tier or feed chunking
+        (the determinism contract's test hook)."""
         digest = hashlib.sha256()
         digest.update(np.int64(self.epochs).tobytes())
         digest.update(np.int64(self.injected).tobytes())
-        for pi, pieces in enumerate(self.chunks):
-            digest.update(np.int64(len(pieces)).tobytes())
-            for rows, pops in pieces:
-                digest.update(rows.tobytes())
-                digest.update(pops.tobytes())
-                digest.update(self.dest[pi][rows].tobytes())
+        digest.update(np.asarray(self.remap_records, dtype=np.int64).tobytes())
+        for pi, pops in enumerate(self.pop_tick):
+            digest.update(pops.tobytes())
+            digest.update(self.dest[pi].tobytes())
             idx = self.acc_idx[pi]
             if idx is not None:
                 digest.update(idx.tobytes())
@@ -204,55 +157,12 @@ class EpochSchedule:
         digest.update(self.egr_pipe.tobytes())
         return digest.hexdigest()
 
-    def partition(
-        self, pi: int, nparts: int
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Split plan ``pi``'s stream into residue classes by access
-        index: part ``w`` gets rows with ``index % nparts == w``.
-
-        Parts touch disjoint register slots and disjoint SoA rows, so
-        they commute — the parallel executor's unit of work. Each part
-        is ``(rows, idxs, offsets)`` with rows concatenated in epoch
-        order and ``offsets`` marking the epoch-chunk boundaries the
-        NumPy wave decomposition preserves. Empty parts are dropped.
-        """
-        pieces = self.chunks[pi]
-        idx_col = self.acc_idx[pi]
-        parts_rows: List[List[np.ndarray]] = [[] for _ in range(nparts)]
-        parts_idx: List[List[np.ndarray]] = [[] for _ in range(nparts)]
-        for rows, _pops in pieces:
-            idxs = idx_col[rows]
-            residue = idxs % nparts
-            for w in range(nparts):
-                sel = residue == w
-                if np.any(sel):
-                    parts_rows[w].append(rows[sel])
-                    parts_idx[w].append(idxs[sel])
-        out = []
-        for w in range(nparts):
-            if not parts_rows[w]:
-                continue
-            lens = np.fromiter(
-                (r.shape[0] for r in parts_rows[w]),
-                dtype=np.int64,
-                count=len(parts_rows[w]),
-            )
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            out.append(
-                (
-                    np.concatenate(parts_rows[w]),
-                    np.concatenate(parts_idx[w]),
-                    offsets,
-                )
-            )
-        return out
-
 
 class EpochStreamer:
     """Incremental Phase A: the epoch sweep as a resumable state
     machine.
 
-    The batch sweep's loop body is split at its two decision points:
+    The sweep's loop body is split at its two decision points:
 
     * **content** — compute the epoch's cut, inject every packet with
       ``inj <= cut`` and pop every FIFO chain through it. Mid-stream
@@ -271,10 +181,10 @@ class EpochStreamer:
     cut is only provably complete at drain, so nothing advances
     mid-stream and memory-bounded streaming requires remapping on.
 
-    The per-packet arrays grow by doubling; every value the batch sweep
-    writes is written here by the same expressions in the same order,
-    so :meth:`finalize`'s :class:`EpochSchedule` — and therefore the
-    DAG signature — is bit-identical at any feed chunking.
+    The per-packet arrays grow by doubling; every value is written by
+    the same expressions in the same order whatever the feed batches
+    were, so :meth:`finalize`'s :class:`EpochSchedule` — and therefore
+    the DAG signature — is bit-identical at any feed chunking.
     """
 
     def __init__(
@@ -314,9 +224,6 @@ class EpochStreamer:
         self.pop_tick = [np.empty(0, dtype=np.int64) for _ in self.vplans]
         self.groups = [
             [_Group() for _ in range(self.k)] for _ in self.vplans
-        ]
-        self.chunks: List[List[Tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in self.vplans
         ]
         self.remap_records: List[Tuple[int, int]] = []
 
@@ -522,7 +429,6 @@ class EpochStreamer:
             else:
                 rows_p = np.concatenate([c[0] for c in popped])
                 pops = np.concatenate([c[1] for c in popped])
-            self.chunks[pi].append((rows_p, pops))
             step.append((pi, rows_p, pops))
             if plan.has_index and not plan.is_flow:
                 state = self.sharder.arrays[plan.base]
@@ -616,7 +522,7 @@ class EpochStreamer:
                     self.done = True
                     return None
                 # Dead as far as fed packets go, but a later feed can
-                # revive the boundary (the batch test is inj_ptr < N
+                # revive the boundary (the liveness test is inj_ptr < N
                 # over the *whole* trace): stall until feed or drain.
                 return None
 
@@ -647,16 +553,10 @@ class EpochStreamer:
                 return step
             # Empty epoch: fall through to the boundary decision.
 
-    def drain(self) -> None:
-        """Run the sweep to completion, discarding service steps (the
-        chunks stay recorded on the streamer for whole-run Phase B)."""
-        while not self.done:
-            self.advance_epoch(final=True)
-
     def finalize(self) -> EpochSchedule:
-        """Snapshot the finished sweep as the batch-identical
-        :class:`EpochSchedule` (capacity arrays trimmed to the fed
-        prefix; chunk and group objects shared, not copied)."""
+        """Snapshot the finished sweep as an :class:`EpochSchedule`
+        (capacity arrays trimmed to the fed prefix; group objects
+        shared, not copied)."""
         n = self.n_fed
         sched = EpochSchedule()
         sched.cut_limit = self.cut_limit
@@ -670,7 +570,6 @@ class EpochStreamer:
         sched.ins_tick = [t[:n] for t in self.ins_tick]
         sched.pop_tick = [t[:n] for t in self.pop_tick]
         sched.groups = self.groups
-        sched.chunks = self.chunks
         sched.egr_tick = self.egr_tick[:n]
         sched.egr_pipe = self.egr_pipe[:n]
         sched.injected = self.injected
@@ -678,33 +577,6 @@ class EpochStreamer:
         sched.last_egress = self.last_egress
         sched.epochs = self.epochs
         return sched
-
-
-def build_epoch_schedule(
-    switch, packets: Sequence, H: Dict, E: Dict, R: Dict,
-    max_ticks: Optional[int],
-) -> EpochSchedule:
-    """Phase A, batch entry point: one ingest, drain, finalize.
-
-    Mutates the sharding runtime (access counters, remaps) and — for
-    injected rows only — the stateless columns written by the
-    resolution and pre-plan transit kernels. ``switch.stats`` receives
-    the remap-move count; everything else lands on the returned
-    schedule.
-    """
-    N = len(packets)
-    streamer = EpochStreamer(switch, packets, H, E, R, max_ticks)
-    if N:
-        arrival = getattr(switch, "_arrival_f", None)
-        if arrival is None or arrival.shape[0] != N:
-            arrival = np.fromiter(
-                (float(p.arrival) for p in packets),
-                dtype=np.float64,
-                count=N,
-            )
-        streamer.ingest(arrival)
-    streamer.drain()
-    return streamer.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +633,9 @@ def _native_cols(nkern, H: Dict, E: Dict, R: Dict) -> List[np.ndarray]:
 def _wave_service(
     kern, H, R, E, base, conservative, rows_p, idxs, mask=None
 ) -> int:
-    """One epoch chunk of a wave plan, PR 5 semantics: rows touching
-    distinct indices execute together; same-index rows execute in
-    successive waves in pop order (the chunk's concatenation order is
+    """One epoch chunk of a wave plan: rows touching distinct indices
+    execute together; same-index rows execute in successive waves in
+    pop order (the chunk's concatenation order is
     pop order per pipeline, and one index maps to one pipeline within
     an epoch). When ``mask`` is given (trace reconstruction), the rows
     whose conservative access wasted a slot are flagged in it."""
@@ -803,350 +675,6 @@ def _wave_service(
         for w in range(n_waves):
             kern.fn(H, R, E, rows_p[waves == w])
     return wasted
-
-
-def _run_wave_partition(
-    kern, nkern, H, R, E, base, conservative, rows, idxs, offsets
-) -> int:
-    """Service one residue part of a wave plan: the fused per-row loop
-    when a native kernel is in force (rows are in per-index pop order,
-    which is all the per-row loop needs), else the NumPy wave
-    decomposition chunk by chunk."""
-    if nkern is not None:
-        return int(nkern.fn(rows, *_native_cols(nkern, H, E, R)))
-    wasted = 0
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        if hi > lo:
-            wasted += _wave_service(
-                kern, H, R, E, base, conservative, rows[lo:hi], idxs[lo:hi]
-            )
-    return wasted
-
-
-# Per-worker state for the epoch pool: set once by the initializer,
-# read by every task. Lives at module level so tasks pickle as plain
-# (segment, plan, rows, idxs, offsets) tuples. The initializer no
-# longer names a segment — tasks do — so one pool serves every
-# dispatch of a run, including a streamed run's per-epoch dispatches.
-_WORKER: Optional[dict] = None
-
-
-def _epoch_worker_init(stage_instrs, metas, mode) -> None:
-    """Pool initializer: stash the program description. Kernels compile
-    lazily per plan on first use (and are cached), so a worker that
-    only ever serves one plan compiles one stage; the shared segment is
-    attached per task (and cached by name)."""
-    global _WORKER
-    _WORKER = {
-        "instrs": stage_instrs,
-        "metas": metas,
-        "mode": mode,
-        "kernels": {},
-        "seg": None,
-        "seg_name": None,
-        "cols": None,
-    }
-
-
-def _worker_columns(seg_name, layout) -> Dict:
-    """Attach (or reuse) the named segment and map its columns. A new
-    name evicts the previous attachment — segments are per-dispatch in
-    the streaming path, per-run in the batch path."""
-    ctx = _WORKER
-    if ctx["seg_name"] != seg_name:
-        from multiprocessing import shared_memory
-
-        if ctx["seg"] is not None:
-            ctx["seg"].close()
-        seg = shared_memory.SharedMemory(name=seg_name)
-        ctx["seg"] = seg  # keep a reference: GC would detach the buffer
-        ctx["seg_name"] = seg_name
-        ctx["cols"] = {
-            (kind, name): np.ndarray(
-                (count,), dtype=np.int64, buffer=seg.buf, offset=offset
-            )
-            for kind, name, offset, count in layout
-        }
-    return ctx["cols"]
-
-
-def _worker_plan(pi: int):
-    """Compile-and-cache the kernels plan ``pi`` needs in this worker."""
-    ctx = _WORKER
-    got = ctx["kernels"].get(pi)
-    if got is None:
-        from ..compiler.native import NativeUnsupported
-        from ..compiler.vjit import compile_vector_stage
-
-        stage, base, conservative = ctx["metas"][pi]
-        instrs = ctx["instrs"][stage]
-        kern = compile_vector_stage(instrs, name=f"w{stage}")
-        nkern = None
-        if ctx["mode"] == "njit":
-            try:
-                nkern = compile_native_stage(
-                    instrs,
-                    f"w{stage}",
-                    track_reg=base if conservative else None,
-                )
-            except NativeUnsupported:
-                nkern = None
-            if nkern is not None and not nkern.jitted:
-                nkern = None  # plain-Python rows loop loses to waves
-        got = (kern, nkern, base, conservative)
-        ctx["kernels"][pi] = got
-    return got
-
-
-def _epoch_worker_run(task) -> int:
-    seg_name, layout, pi, rows, idxs, offsets = task
-    cols = _worker_columns(seg_name, layout)
-    kern, nkern, base, conservative = _worker_plan(pi)
-    H = {
-        f: cols[("H", f)]
-        for f in kern.fields_read | kern.fields_written
-    }
-    E = {t: cols[("E", t)] for t in set(kern.temps_in) | set(kern.temps_out)}
-    R = {r: cols[("R", r)] for r in {i.reg for i in kern.stateful}}
-    return _run_wave_partition(
-        kern, nkern, H, R, E, base, conservative, rows, idxs, offsets
-    )
-
-
-def _share_columns(H: Dict, E: Dict, R: Dict):
-    """Copy every SoA column into one shared-memory segment and return
-    (segment, layout, H', E', R') with the dicts rebuilt as views."""
-    from multiprocessing import shared_memory
-
-    entries = (
-        [("H", name, arr) for name, arr in sorted(H.items())]
-        + [("E", name, arr) for name, arr in sorted(E.items())]
-        + [("R", name, arr) for name, arr in sorted(R.items())]
-    )
-    total = sum(arr.shape[0] for _, _, arr in entries) * 8
-    seg = shared_memory.SharedMemory(create=True, size=max(total, 8))
-    _parallel().register_shared_segment(seg.name)
-    layout = []
-    views: Dict[Tuple[str, str], np.ndarray] = {}
-    offset = 0
-    for kind, name, arr in entries:
-        count = arr.shape[0]
-        view = np.ndarray((count,), dtype=np.int64, buffer=seg.buf, offset=offset)
-        view[:] = arr
-        layout.append((kind, name, offset, count))
-        views[(kind, name)] = view
-        offset += count * 8
-    H2 = {name: views[("H", name)] for name in H}
-    E2 = {name: views[("E", name)] for name in E}
-    R2 = {name: views[("R", name)] for name in R}
-    return seg, layout, H2, E2, R2
-
-
-def _pool_initargs(switch, mode: str):
-    """The epoch pool's initializer arguments: static per (switch,
-    mode), so the pool survives across plans, epochs, and dispatches
-    (``_get_pool`` respawns on any initargs change)."""
-    metas = [(p.stage, p.base, p.conservative) for p in switch._vplans]
-    return (switch._stage_instrs, metas, mode)
-
-
-def execute_service(
-    switch,
-    schedule: EpochSchedule,
-    H: Dict,
-    E: Dict,
-    R: Dict,
-    native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
-    profiler=None,
-    wasted_out: Optional[List[Optional[np.ndarray]]] = None,
-) -> int:
-    """Phase B, batch path: run every plan's deferred service, in plan
-    order.
-
-    Mutates ``H``/``E``/``R`` in place (via shared-memory staging when
-    workers are used) and returns the wasted-slot count. The result is
-    identical — and, once serialized, byte-identical — for every
-    combination of ``native`` and ``epoch_jobs``, including every
-    fallback path. ``profiler`` (a
-    :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
-    kernel-tier timings and pool gauges; ``wasted_out`` is a per-plan
-    list of bool row masks the trace reconstruction needs — plans with
-    a mask run the mask-capable in-process paths (same results, per the
-    exactness contract) and flag the rows whose conservative access
-    wasted a slot.
-    """
-    from time import perf_counter
-
-    vplans = switch._vplans
-    mode = resolve_native_mode(native)
-    jobs = _parallel().resolve_jobs(epoch_jobs)
-    use_pool = (
-        jobs > 1
-        and not _parallel().pool_unavailable()
-        and any(
-            p.category == "wave"
-            and sum(c[0].shape[0] for c in schedule.chunks[pi])
-            >= PARALLEL_MIN_ROWS
-            for pi, p in enumerate(vplans)
-        )
-    )
-    seg = None
-    originals = None
-    shared = None
-    if use_pool:
-        try:
-            originals = (H, E, R)
-            seg, layout, H, E, R = _share_columns(H, E, R)
-            shared = (seg.name, layout)
-            if profiler is not None:
-                profiler.record_pool(workers=jobs, shared_bytes=seg.size)
-        except (OSError, ValueError):
-            if seg is not None:
-                _parallel().unregister_shared_segment(seg.name)
-                seg.close()
-                seg.unlink()
-            seg = None
-            H, E, R = originals
-            originals = None
-            use_pool = False
-    wasted = 0
-    try:
-        for pi, plan in enumerate(vplans):
-            rows_all, _pops = schedule.plan_stream(pi)
-            if rows_all.size:
-                mask = wasted_out[pi] if wasted_out is not None else None
-                t0 = perf_counter() if profiler is not None else 0.0
-                tier = None
-                if plan.category == "wave":
-                    got, tier = _service_wave_plan(
-                        switch, schedule, pi, plan, H, E, R, mode,
-                        jobs if use_pool else 1,
-                        shared if use_pool else None,
-                        mask=mask,
-                        profiler=profiler,
-                    )
-                    wasted += got
-                elif plan.category == "serial":
-                    got, tier = _service_serial_plan(
-                        switch, schedule, pi, plan, H, E, R, mode, mask=mask
-                    )
-                    wasted += got
-                # 'none' (flow-order arrays, kernel-free stages): the
-                # FIFO timing is the whole effect; nothing to execute.
-                if profiler is not None and tier is not None:
-                    profiler.record_kernel(
-                        plan.stage, tier, perf_counter() - t0
-                    )
-                for u in switch._transit_after[pi]:
-                    switch._vkernels[u].fn(H, R, E, rows_all)
-    finally:
-        if seg is not None:
-            oH, oE, oR = originals
-            for name, arr in oH.items():
-                arr[:] = H[name]
-            for name, arr in oE.items():
-                arr[:] = E[name]
-            for name, arr in oR.items():
-                arr[:] = R[name]
-            del H, E, R  # drop the views before freeing their buffer
-            seg.close()
-            seg.unlink()
-            _parallel().unregister_shared_segment(seg.name)
-    return wasted
-
-
-def _service_wave_plan(
-    switch, schedule, pi, plan, H, E, R, mode, jobs, shared,
-    mask=None, profiler=None,
-):
-    kern = switch._vkernels[plan.stage]
-    track = plan.base if plan.conservative else None
-    # Per-row wasted-slot capture (trace reconstruction) needs the
-    # chunked NumPy path, which knows which rows lost their lane; the
-    # fused kernels and pool parts only count. Results are identical by
-    # the exactness contract, so forcing the path changes nothing else.
-    capture = mask is not None
-    # A plain-Python per-row loop loses to the NumPy wave decomposition
-    # for shardable plans; the python tier is reserved for the
-    # serialized path, where it replaces a slower loop.
-    nkern = (
-        _native_kernel(switch, plan.stage, track, mode)
-        if mode == "njit" and not capture
-        else None
-    )
-    nparts = jobs if not capture else 1
-    if nparts > 1:
-        parts = schedule.partition(pi, nparts)
-        big_enough = all(p[0].shape[0] >= 64 for p in parts)
-        if len(parts) > 1 and big_enough:
-            done = _dispatch_parts(
-                switch, schedule, pi, plan, parts, H, E, R, kern,
-                shared, mode,
-            )
-            if done is not None:
-                if profiler is not None:
-                    profiler.record_pool(tasks=len(parts))
-                return done, "pool"
-        # Partitioning didn't pay (or the pool broke and state was
-        # restored): fall through to the in-process path.
-    idx_col = schedule.acc_idx[pi]
-    if nkern is not None:
-        rows = schedule.service_order(pi)
-        return int(nkern.fn(rows, *_native_cols(nkern, H, E, R))), "njit"
-    wasted = 0
-    for rows_p, _pops in schedule.chunks[pi]:
-        wasted += _wave_service(
-            kern, H, R, E, plan.base, plan.conservative, rows_p,
-            idx_col[rows_p], mask=mask,
-        )
-    return wasted, "numpy"
-
-
-def _dispatch_parts(
-    switch, schedule, pi, plan, parts, H, E, R, kern, shared, mode
-) -> Optional[int]:
-    """Run a wave plan's residue parts on the pool. Returns the wasted
-    count, or None after restoring state when the pool failed (the
-    caller then re-executes in process; tasks are register-mutating and
-    so never retried blindly)."""
-    # Snapshot everything this plan's service can touch, so a pool that
-    # breaks mid-plan (some parts applied, some not) can be rolled back.
-    rows_all, _ = schedule.plan_stream(pi)
-    snap_reg = {r: R[r].copy() for r in {i.reg for i in kern.stateful}}
-    snap_E = {t: E[t][rows_all].copy() for t in kern.temps_out}
-    snap_H = {f: H[f][rows_all].copy() for f in kern.fields_written}
-    seg_name, layout = shared
-    tasks = [
-        (seg_name, layout, pi, rows, idxs, offsets)
-        for rows, idxs, offsets in parts
-    ]
-    try:
-        results = _parallel().pool_map_strict(
-            _epoch_worker_run,
-            tasks,
-            jobs=len(parts),
-            initializer=_epoch_worker_init,
-            initargs=_pool_initargs(switch, mode),
-            pool_key="epoch",
-        )
-        return int(sum(results))
-    except _parallel().PoolBroken:
-        for r, arr in snap_reg.items():
-            R[r][:] = arr
-        for t, arr in snap_E.items():
-            E[t][rows_all] = arr
-        for f, arr in snap_H.items():
-            H[f][rows_all] = arr
-        return None
-
-
-def _service_serial_plan(switch, schedule, pi, plan, H, E, R, mode, mask=None):
-    """Serialized rows of the batch path: execution in global (tick,
-    pipeline) service order — see :func:`_serial_rows_service`."""
-    return _serial_rows_service(
-        switch, plan, schedule.service_order(pi), H, E, R, mode, mask=mask
-    )
 
 
 def _serial_rows_service(
@@ -1197,11 +725,6 @@ def _serial_rows_service(
     return wasted, "python"
 
 
-# ---------------------------------------------------------------------------
-# Phase B, streaming path: per-epoch service
-# ---------------------------------------------------------------------------
-
-
 def execute_epoch_service(
     switch,
     streamer: EpochStreamer,
@@ -1210,21 +733,27 @@ def execute_epoch_service(
     E: Dict,
     R: Dict,
     native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
     profiler=None,
     wasted_out: Optional[List[Optional[np.ndarray]]] = None,
 ) -> int:
-    """Service one epoch's step as :meth:`EpochStreamer.advance_epoch`
-    emits it. Exactly the batch reduction, re-chunked: an epoch's pops
-    all exceed the previous cut, so running plans in plan order within
-    the step, epoch after epoch, visits every register slot in the
-    batch path's service order. Returns the step's wasted-slot count.
+    """Phase B: service one epoch's step as
+    :meth:`EpochStreamer.advance_epoch` emits it, plan by plan.
+
+    Mutates ``H``/``E``/``R`` in place and returns the step's
+    wasted-slot count. An epoch's pops all exceed the previous cut, so
+    epoch after epoch this visits every register slot in the scalar
+    engines' (tick, pipeline) service order; the result is identical
+    for every ``native`` setting. ``profiler`` (a
+    :class:`~repro.obs.profiler.PhaseProfiler`) receives per-stage
+    kernel-tier timings; ``wasted_out`` is a per-plan list of bool row
+    masks the trace reconstruction needs — plans with a mask run the
+    mask-capable paths (same results, per the exactness contract) and
+    flag the rows whose conservative access wasted a slot.
     """
     from time import perf_counter
 
     vplans = switch._vplans
     mode = resolve_native_mode(native)
-    jobs = _parallel().resolve_jobs(epoch_jobs)
     wasted = 0
     for pi, rows_p, pops in step:
         plan = vplans[pi]
@@ -1233,14 +762,14 @@ def execute_epoch_service(
         tier = None
         if plan.category == "wave":
             got, tier = _service_wave_rows(
-                switch, streamer, pi, plan, rows_p, pops, H, E, R,
-                mode, jobs, mask=mask, profiler=profiler,
+                switch, streamer, pi, plan, rows_p, pops, H, E, R, mode,
+                mask=mask,
             )
             wasted += got
         elif plan.category == "serial":
-            order = rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
             got, tier = _serial_rows_service(
-                switch, plan, order, H, E, R, mode, mask=mask
+                switch, plan, _service_order(streamer, pi, rows_p, pops),
+                H, E, R, mode, mask=mask,
             )
             wasted += got
         # 'none' (flow-order arrays, kernel-free stages): the FIFO
@@ -1252,113 +781,29 @@ def execute_epoch_service(
     return wasted
 
 
+def _service_order(streamer, pi, rows_p, pops) -> np.ndarray:
+    """The step's rows of plan ``pi`` in (tick, pipeline) service order.
+    Keys are unique: each (plan, pipeline) group pops once per tick."""
+    return rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
+
+
 def _service_wave_rows(
-    switch, streamer, pi, plan, rows_p, pops, H, E, R, mode, jobs,
-    mask=None, profiler=None,
+    switch, streamer, pi, plan, rows_p, pops, H, E, R, mode, mask=None
 ):
-    """One epoch chunk of a wave plan, streaming path: pool-partition
-    when the chunk alone is big enough, else fused kernel in the
-    epoch-local service order, else the NumPy wave decomposition."""
-    kern = switch._vkernels[plan.stage]
-    track = plan.base if plan.conservative else None
-    capture = mask is not None
-    nkern = (
-        _native_kernel(switch, plan.stage, track, mode)
-        if mode == "njit" and not capture
-        else None
-    )
-    idxs = streamer.acc_idx[pi][rows_p]
-    if (
-        not capture
-        and jobs > 1
-        and rows_p.shape[0] >= PARALLEL_MIN_ROWS
-        and not _parallel().pool_unavailable()
-    ):
-        done = _dispatch_epoch_parts(
-            switch, pi, plan, kern, rows_p, idxs, H, E, R, jobs, mode,
-            profiler=profiler,
-        )
-        if done is not None:
-            return done, "pool"
-        # Partitioning didn't pay (or the pool/shared-memory setup
-        # failed, leaving the caller's arrays untouched): fall through.
-    if nkern is not None:
-        # Epoch-local (tick, pipeline) order; chunks concatenate to the
-        # global service order because pops rise across epochs.
-        order = rows_p[np.lexsort((streamer.dest[pi][rows_p], pops))]
-        return int(nkern.fn(order, *_native_cols(nkern, H, E, R))), "njit"
+    """One epoch chunk of a wave plan: the fused kernel in service
+    order when the njit tier is in force, else the NumPy wave
+    decomposition. A plain-Python per-row loop loses to the waves for
+    shardable plans, so the python tier is reserved for serialized
+    plans; a ``mask`` (trace reconstruction) needs the waves, which
+    know which rows lost their lane."""
+    if mode == "njit" and mask is None:
+        track = plan.base if plan.conservative else None
+        nkern = _native_kernel(switch, plan.stage, track, mode)
+        if nkern is not None:
+            order = _service_order(streamer, pi, rows_p, pops)
+            return int(nkern.fn(order, *_native_cols(nkern, H, E, R))), "njit"
     wasted = _wave_service(
-        kern, H, R, E, plan.base, plan.conservative, rows_p, idxs,
-        mask=mask,
+        switch._vkernels[plan.stage], H, R, E, plan.base, plan.conservative,
+        rows_p, streamer.acc_idx[pi][rows_p], mask=mask,
     )
     return wasted, "numpy"
-
-
-def _dispatch_epoch_parts(
-    switch, pi, plan, kern, rows_p, idxs, H, E, R, jobs, mode,
-    profiler=None,
-) -> Optional[int]:
-    """Residue-partition one epoch chunk across the pool, against a
-    *compact* shared segment: the chunk's own rows gathered into dense
-    columns (tasks carry local row positions), plus the full register
-    arrays (access indices are global). On success the written columns
-    scatter back; on any failure the caller's arrays are untouched —
-    workers only ever mutated the discarded segment copy."""
-    residue = idxs % jobs
-    parts = []
-    for w in range(jobs):
-        pos = np.nonzero(residue == w)[0].astype(np.int64)
-        if pos.shape[0]:
-            parts.append(pos)
-    if len(parts) <= 1 or any(p.shape[0] < 64 for p in parts):
-        return None
-    fields = sorted(kern.fields_read | kern.fields_written)
-    temps = sorted(set(kern.temps_in) | set(kern.temps_out))
-    regs = sorted({i.reg for i in kern.stateful})
-    Hc = {f: np.ascontiguousarray(H[f][rows_p]) for f in fields}
-    Ec = {t: np.ascontiguousarray(E[t][rows_p]) for t in temps}
-    Rc = {r: R[r] for r in regs}
-    try:
-        seg, layout, Hs, Es, Rs = _share_columns(Hc, Ec, Rc)
-    except (OSError, ValueError):
-        return None
-    if profiler is not None:
-        profiler.record_pool(
-            workers=jobs, tasks=len(parts), shared_bytes=seg.size
-        )
-    tasks = [
-        (
-            seg.name,
-            layout,
-            pi,
-            pos,
-            idxs[pos],
-            np.array([0, pos.shape[0]], dtype=np.int64),
-        )
-        for pos in parts
-    ]
-    wasted: Optional[int] = None
-    try:
-        results = _parallel().pool_map_strict(
-            _epoch_worker_run,
-            tasks,
-            jobs=len(parts),
-            initializer=_epoch_worker_init,
-            initargs=_pool_initargs(switch, mode),
-            pool_key="epoch",
-        )
-        wasted = int(sum(results))
-        for f in kern.fields_written:
-            H[f][rows_p] = Hs[f]
-        for t in kern.temps_out:
-            E[t][rows_p] = Es[t]
-        for r in regs:
-            R[r][:] = Rs[r]
-    except _parallel().PoolBroken:
-        wasted = None
-    finally:
-        del Hs, Es, Rs  # drop the views before freeing their buffer
-        seg.close()
-        seg.unlink()
-        _parallel().unregister_shared_segment(seg.name)
-    return wasted

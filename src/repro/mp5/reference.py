@@ -28,7 +28,7 @@ from .config import MP5Config
 from .fifo import IdealOrderBuffer
 from .packet import DataPacket, PhantomPacket, StateAccess
 from .stats import SwitchStats
-from .switch import FLOW_ORDER_ARRAY, MP5Switch, TraceEntry
+from .switch import FLOW_ORDER_ARRAY, MP5Switch, TraceEntry, run_switch
 
 
 def _slot_data_occupancy(fifo) -> int:
@@ -387,7 +387,6 @@ def run_mp5_reference(
     faults=None,
     monitor=None,
     native=None,
-    epoch_jobs=None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Run a trace through the dense reference engine (see module doc).
 
@@ -397,25 +396,14 @@ def run_mp5_reference(
     is not phase-timed. ``faults`` attaches a
     :class:`repro.faults.FaultSchedule`, as in :func:`run_mp5`.
     """
-    switch = ReferenceSwitch(program, config)
-    if (
-        recorder is not None
-        or metrics is not None
-        or profiler is not None
-        or monitor is not None
-    ):
-        switch.attach_observability(
-            recorder=recorder, metrics=metrics, profiler=profiler,
-            monitor=monitor,
-        )
-    if faults is not None:
-        switch.attach_faults(faults)
-    stats = switch.run(
-        trace, max_ticks=max_ticks, record_access_order=record_access_order
+    return run_switch(
+        ReferenceSwitch(program, config),
+        trace,
+        max_ticks=max_ticks,
+        record_access_order=record_access_order,
+        recorder=recorder,
+        metrics=metrics,
+        profiler=profiler,
+        faults=faults,
+        monitor=monitor,
     )
-    registers = {
-        name: values
-        for name, values in switch.registers.items()
-        if name != FLOW_ORDER_ARRAY
-    }
-    return stats, registers

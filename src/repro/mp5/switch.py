@@ -1312,16 +1312,40 @@ def run_mp5(
     faults=None,
     monitor=None,
     native=None,
-    epoch_jobs=None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
     """Convenience: run a trace through a fresh switch; returns the run
     statistics and the final register state. ``recorder``, ``metrics``,
     ``profiler`` and ``monitor`` are optional :mod:`repro.obs` sinks;
     ``faults`` an optional :class:`repro.faults.FaultSchedule`.
-    ``native``/``epoch_jobs`` are vector-engine performance knobs,
-    accepted (and ignored) so every entry in ``ENGINES`` shares one
-    call signature."""
-    switch = MP5Switch(program, config)
+    ``native`` is a vector-engine performance knob, accepted (and
+    ignored) so every entry in ``ENGINES`` shares one call signature."""
+    return run_switch(
+        MP5Switch(program, config),
+        trace,
+        max_ticks=max_ticks,
+        record_access_order=record_access_order,
+        recorder=recorder,
+        metrics=metrics,
+        profiler=profiler,
+        faults=faults,
+        monitor=monitor,
+    )
+
+
+def run_switch(
+    switch: MP5Switch,
+    trace: Iterable[TraceEntry],
+    max_ticks: Optional[int] = None,
+    record_access_order: bool = False,
+    recorder=None,
+    metrics=None,
+    profiler=None,
+    faults=None,
+    monitor=None,
+) -> Tuple[SwitchStats, Dict[str, List[int]]]:
+    """Attach the given sinks and faults to a fresh switch of any
+    engine, run ``trace`` through it, and return the statistics and
+    the final registers (minus the flow-order bookkeeping array)."""
     if (
         recorder is not None
         or metrics is not None

@@ -29,9 +29,9 @@ counters can still move indices), exactly like the idle-tick
 compression of the scalar engines.
 
 Observability (recorder, metrics registry, profiler, monitor) rides the
-batch path: attached sinks are fed *after* Phase B by the epoch-trace
-reconstruction (:mod:`repro.obs.reconstruct`), which synthesizes the
-scalar engines' event stream from the schedule and replays it through
+run: attached sinks are fed *after* the last epoch's service by the
+epoch-trace reconstruction (:mod:`repro.obs.reconstruct`), which
+synthesizes the scalar engines' event stream from the schedule and replays it through
 the real sink emitters — same ``canonical_form``, same alert stream,
 same metrics series, and ``results.json`` stays byte-identical with
 sinks on or off. With no sink attached the engine skips it all, so the
@@ -40,8 +40,9 @@ closed-form speed is untouched.
 Exactness over generality: configurations the batch reduction cannot
 represent (bounded FIFOs, phantom loss, ECN, starvation preemption,
 ideal queues, affinity spray, resolvable access guards, write-only
-register arrays, attached faults) make :func:`run_mp5_vector` fall back
-to the fast engine — with a one-line deduplicated warning for faults
+register arrays, attached faults) make :func:`select_vector_engine`
+(and so :func:`run_mp5_vector` and the service daemon) fall back to
+the fast engine — with a one-line deduplicated warning for faults
 and unsupported program shapes (including the reason), silently for
 config shapes — so ``--engine vector`` is always safe. Supported runs
 produce :class:`~repro.mp5.stats.SwitchStats` and final registers equal
@@ -62,16 +63,10 @@ from ..compiler.tac import Temp
 from ..compiler.vjit import compile_vector_stage
 from ..errors import ConfigError, ReproError
 from .config import MP5Config
-from .epochs import (
-    _FAR,
-    EpochStreamer,
-    _grown,
-    execute_epoch_service,
-    execute_service,
-)
+from .epochs import _FAR, EpochStreamer, _grown, execute_epoch_service
 from .packet import DataPacket
 from .stats import SwitchStats
-from .switch import FLOW_ORDER_ARRAY, MP5Switch, run_mp5
+from .switch import FLOW_ORDER_ARRAY, MP5Switch, run_switch
 
 
 class VectorUnsupported(ReproError):
@@ -164,16 +159,14 @@ class VectorSwitch(MP5Switch):
         program,
         config: Optional[MP5Config] = None,
         native: Optional[bool] = None,
-        epoch_jobs: Optional[int] = None,
     ):
         super().__init__(program, config)
         reason = config_fallback_reason(self.config)
         if reason is not None:
             raise VectorUnsupported(reason)
-        # Performance knobs only — every combination produces identical
+        # A performance knob only — every kernel tier produces identical
         # (byte-identical once serialized) results; see repro.mp5.epochs.
         self._native = native
-        self._epoch_jobs = epoch_jobs
         self._streamer: Optional[EpochStreamer] = None
         self._build_vector_plan()
 
@@ -389,8 +382,8 @@ class VectorSwitch(MP5Switch):
         :meth:`run` on the concatenated trace at any feed chunking,
         with buffered service work bounded by the largest epoch — but
         only when remapping is on: with ``remap_algorithm='none'``
-        there are no epoch boundaries, so everything defers to
-        :meth:`finish` (exactly the batch run).
+        there are no epoch boundaries, so the whole trace is one epoch
+        serviced at :meth:`finish`.
         """
         if self._ran:
             raise ConfigError(
@@ -616,7 +609,6 @@ class VectorSwitch(MP5Switch):
             self._E,
             self._R,
             native=self._native,
-            epoch_jobs=self._epoch_jobs,
             profiler=self._profiler,
             wasted_out=self._wmasks,
         )
@@ -632,11 +624,8 @@ class VectorSwitch(MP5Switch):
             self.tick = int(through) + 1
 
     def finish(self) -> SwitchStats:
-        """Drain the sweep, run any deferred service, and reconstruct
-        the statistics. A run that never pumped mid-stream (notably
-        :meth:`run`) executes Phase B whole-run — plan-major, with the
-        pool amortized across the full stream — which is also the only
-        path when remapping is off."""
+        """Drain the sweep, servicing each remaining epoch as Phase A
+        closes it, and reconstruct the statistics."""
         if self._streamer is None:
             raise ConfigError("finish() requires start()")
         if self._finished:
@@ -654,39 +643,12 @@ class VectorSwitch(MP5Switch):
                 # end_run (drained unless packets were cut by max_ticks).
                 self._replay_sinks(packets, None, None, drained=not packets)
             return stats
-        prof = self._profiler
-        streamed = self._epochs_serviced > 0
-        t0 = perf_counter()
-        while not sr.done:
-            step = sr.advance_epoch(final=True)
-            if step is not None and streamed:
-                self._pa_time += perf_counter() - t0
-                self._service_step(step)
-                t0 = perf_counter()
-        self._pa_time += perf_counter() - t0
+        self.pump()
         schedule = sr.finalize()
         self._last_schedule = schedule  # test/debug hook: the run's DAG
+        prof = self._profiler
         if prof is not None:
             prof.record_span("phase_a", self._pa_time)
-        if not streamed:
-            # Phase B, whole-run: replay the schedule against register
-            # state, on the native tier and worker pool when asked. The
-            # split is exact because access indices resolve at the
-            # stateless resolution stage.
-            t0 = perf_counter()
-            self._swasted = execute_service(
-                self,
-                schedule,
-                self._H,
-                self._E,
-                self._R,
-                native=self._native,
-                epoch_jobs=self._epoch_jobs,
-                profiler=prof,
-                wasted_out=self._wmasks,
-            )
-            self._pb_time = perf_counter() - t0
-        if prof is not None:
             prof.record_span("phase_b", self._pb_time)
         self._finalize_stats(packets, schedule)
         return stats
@@ -724,7 +686,7 @@ class VectorSwitch(MP5Switch):
         }
 
     # ------------------------------------------------------------------
-    # Run (batch: one feed, one drain)
+    # Run: one feed, one draining pump
     # ------------------------------------------------------------------
 
     def run(
@@ -733,9 +695,11 @@ class VectorSwitch(MP5Switch):
         max_ticks: Optional[int] = None,
         record_access_order: bool = False,
     ) -> SwitchStats:
+        """The streaming contract with the whole trace as one feed: a
+        run services epochs exactly as a served segment does."""
         self.start(max_ticks=max_ticks, record_access_order=record_access_order)
-        entries = trace if isinstance(trace, list) else list(trace)
-        self.feed(entries)
+        self.feed(trace if isinstance(trace, list) else list(trace))
+        self.pump()
         return self.finish()
 
     def _finalize_stats(self, packets, schedule) -> None:
@@ -857,6 +821,44 @@ class VectorSwitch(MP5Switch):
                 prof.record_span("trace_reconstruct", perf_counter() - t0)
 
 
+def select_vector_engine(
+    program,
+    config: Optional[MP5Config] = None,
+    native: Optional[bool] = None,
+    faulted: bool = False,
+    record_access_order: bool = False,
+) -> Tuple[str, MP5Switch]:
+    """The vector engine's fallback ladder: ``(engine name, switch)``
+    for a run that asked for the vector engine.
+
+    Three rungs fall back to the fast engine: attached faults
+    (``faulted``) with a one-line stderr warning; a config knob the
+    vector model omits (or ``record_access_order``) silently — a config
+    choice, not a surprise; a program shape the epoch reduction cannot
+    represent with a warning naming the :class:`VectorUnsupported`
+    reason. Warnings are deduplicated per run, so a 1000-cell sweep
+    that falls back prints one line (see
+    :func:`reset_fallback_warnings`). The returned switch is fresh: no
+    sinks attached, not started.
+    """
+    if faulted:
+        _warn_fallback(
+            "vector engine: faults attached; falling back to the "
+            "fast engine"
+        )
+    elif not record_access_order and config_fallback_reason(
+        config or MP5Config()
+    ) is None:
+        try:
+            return "vector", VectorSwitch(program, config, native=native)
+        except VectorUnsupported as exc:
+            _warn_fallback(
+                f"vector engine: unsupported program shape ({exc}); "
+                "falling back to the fast engine"
+            )
+    return "fast", MP5Switch(program, config)
+
+
 def run_mp5_vector(
     program,
     trace: Iterable,
@@ -869,92 +871,49 @@ def run_mp5_vector(
     faults=None,
     monitor=None,
     native: Optional[bool] = None,
-    epoch_jobs: Optional[int] = None,
 ) -> Tuple[SwitchStats, Dict[str, List[int]]]:
-    """Run a trace through the batch engine, falling back to the fast
-    engine whenever the vector reduction does not apply.
+    """Run a trace through the vector engine, falling back to the fast
+    engine whenever the vector reduction does not apply (see
+    :func:`select_vector_engine` for the ladder and its warnings).
 
     Observability sinks (``recorder``/``metrics``/``profiler``/
-    ``monitor``) ride the batch path — the post-run epoch-trace
+    ``monitor``) ride the vector run — the post-run epoch-trace
     reconstruction feeds them streams identical to the scalar engines'
-    (:mod:`repro.obs.reconstruct`). Attached ``faults`` trigger the
-    fallback with a one-line stderr warning (so ``--engine vector`` is
-    always safe in scripts); unsupported configurations fall back
-    silently and unsupported program shapes warn once with the
-    :class:`VectorUnsupported` reason — sinks follow the run to the
-    fast engine in every fallback. Warnings are deduplicated per run —
-    a 1000-cell sweep that falls back prints one line, not 1000 (see
-    :func:`reset_fallback_warnings`). ``native`` and ``epoch_jobs``
-    select the fused-kernel tier and the in-run worker count
-    (:mod:`repro.mp5.epochs`); both are pure performance knobs. Either
-    way the returned statistics and registers are identical to
+    (:mod:`repro.obs.reconstruct`) — and follow the run to the fast
+    engine in every fallback. ``native`` selects the fused-kernel tier
+    (:mod:`repro.mp5.epochs`), a pure performance knob. Either way the
+    returned statistics and registers are identical to
     :func:`~repro.mp5.switch.run_mp5`.
     """
     entries = trace if isinstance(trace, list) else list(trace)
-    cfg = config or MP5Config()
-    if faults is not None:
-        _warn_fallback(
-            "vector engine: faults attached; falling back to the "
-            "fast engine"
-        )
-        return run_mp5(
-            program,
-            entries,
-            config,
-            max_ticks=max_ticks,
-            record_access_order=record_access_order,
-            recorder=recorder,
-            metrics=metrics,
-            profiler=profiler,
-            faults=faults,
-            monitor=monitor,
-        )
-    stats = None
-    if (
-        not record_access_order
-        and config_fallback_reason(cfg) is None
-    ):
+    sinks = dict(
+        recorder=recorder, metrics=metrics, profiler=profiler, monitor=monitor
+    )
+    engine, switch = select_vector_engine(
+        program,
+        config,
+        native=native,
+        faulted=faults is not None,
+        record_access_order=record_access_order,
+    )
+    if engine == "vector":
         try:
-            # VectorSwitch.run raises VectorUnsupported only in its
-            # preamble, before any packet is mutated — and sink binding
-            # is deferred until after Phase B — so the same entries
-            # list and the same untouched sinks can be replayed
-            # through the fast engine.
-            switch = VectorSwitch(
-                program, config, native=native, epoch_jobs=epoch_jobs
-            )
-            switch.attach_observability(
-                recorder=recorder,
-                metrics=metrics,
-                profiler=profiler,
-                monitor=monitor,
-            )
-            stats = switch.run(
-                entries,
-                max_ticks=max_ticks,
-                record_access_order=record_access_order,
-            )
+            return run_switch(switch, entries, max_ticks=max_ticks, **sinks)
         except VectorUnsupported as exc:
+            # Raised by feed() (a pre-seeded packet env) before any
+            # packet is mutated — and sink binding is deferred until
+            # after Phase B — so the same entries and the same untouched
+            # sinks replay through the fast engine.
             _warn_fallback(
                 f"vector engine: unsupported program shape ({exc}); "
                 "falling back to the fast engine"
             )
-            stats = None
-    if stats is None:
-        return run_mp5(
-            program,
-            entries,
-            config,
-            max_ticks=max_ticks,
-            record_access_order=record_access_order,
-            recorder=recorder,
-            metrics=metrics,
-            profiler=profiler,
-            monitor=monitor,
-        )
-    registers = {
-        name: values
-        for name, values in switch.registers.items()
-        if name != FLOW_ORDER_ARRAY
-    }
-    return stats, registers
+            switch = MP5Switch(program, config)
+    return run_switch(
+        switch,
+        entries,
+        max_ticks=max_ticks,
+        record_access_order=record_access_order,
+        faults=faults,
+        **sinks,
+    )

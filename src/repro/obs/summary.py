@@ -226,16 +226,15 @@ def render_epoch_section(profiler: Dict) -> str:
 
     Shows the epoch boundaries Phase A resolved with each boundary's
     remap outcome, the Phase A / Phase B / reconstruction wall-clock
-    split, the per-stage kernel tier that serviced each stateful stage,
-    and the epoch-pool gauges. Raises :class:`ValueError` on a
-    malformed block so the CLI can exit 2 with a one-line diagnostic,
-    matching the empty/truncated-trace handling.
+    split, and the per-stage kernel tier that serviced each stateful
+    stage. Raises :class:`ValueError` on a malformed block so the CLI
+    can exit 2 with a one-line diagnostic, matching the
+    empty/truncated-trace handling.
     """
     if not isinstance(profiler, dict):
         raise ValueError("profiler block must be a JSON object")
     spans = profiler.get("spans", {})
     kernels = profiler.get("kernels", {})
-    pool = profiler.get("pool", {})
     epochs = profiler.get("epochs", [])
     if not isinstance(spans, dict) or not all(
         isinstance(v, (int, float)) for v in spans.values()
@@ -245,8 +244,6 @@ def render_epoch_section(profiler: Dict) -> str:
         isinstance(v, dict) for v in kernels.values()
     ):
         raise ValueError("profiler 'kernels' must map stage -> entry")
-    if not isinstance(pool, dict):
-        raise ValueError("profiler 'pool' must be a JSON object")
     if not isinstance(epochs, list) or not all(
         isinstance(e, dict) and "start" in e and "end" in e for e in epochs
     ):
@@ -301,12 +298,6 @@ def render_epoch_section(profiler: Dict) -> str:
                     for stage, entry in sorted(kernels.items())
                 ],
             )
-        )
-    if pool:
-        parts.append("")
-        parts.append(
-            "Epoch pool: "
-            + " ".join(f"{key}={pool[key]}" for key in sorted(pool))
         )
     return "\n".join(parts)
 

@@ -57,16 +57,9 @@ import numpy as np
 from ..compiler import compile_program
 from ..errors import ConfigError, ReproError
 from ..faults import FaultSchedule
-from ..mp5 import (
-    MP5Config,
-    MP5Switch,
-    ReferenceSwitch,
-    VectorSwitch,
-    VectorUnsupported,
-)
+from ..mp5 import MP5Config, MP5Switch, ReferenceSwitch, select_vector_engine
 from ..mp5.packet import DataPacket
 from ..mp5.switch import FLOW_ORDER_ARRAY
-from ..mp5.vector import _warn_fallback, config_fallback_reason
 from ..obs.alerts import SEVERITY_CRITICAL
 from ..obs.health import VERDICT_DEGRADED, VERDICT_OK, worst_verdict
 from ..obs.metrics import MetricsRegistry
@@ -168,11 +161,10 @@ class _EngineAdapter:
     through ``feed`` and work advances through ``pump`` only once the
     ingest watermark proves no future feed can affect it — ticks for
     the scalar engines, whole epochs for the vector engine. The vector
-    path mirrors :func:`repro.mp5.run_mp5_vector`'s fallback ladder
-    (faults armed → warn and use fast; config knob the vector model
-    omits → silently use fast; unsupported program shape → warn and
-    use fast), so a ``--engine vector`` service is never wedged by a
-    mid-stream fault attach — the next segment just runs scalar."""
+    path shares :func:`repro.mp5.select_vector_engine`'s fallback
+    ladder with :func:`repro.mp5.run_mp5_vector`, so a ``--engine
+    vector`` service is never wedged by a mid-stream fault attach —
+    the next segment just runs scalar."""
 
     streaming = True
 
@@ -203,32 +195,16 @@ class _EngineAdapter:
 
     @staticmethod
     def _build_switch(service: "SwitchService"):
-        engine = service.engine
-        if engine == "vector":
+        if service.engine == "vector":
             schedule = service.schedule
-            if schedule is not None and schedule.faults:
-                _warn_fallback(
-                    "vector engine: faults attached; falling back to the "
-                    "fast engine"
-                )
-            elif config_fallback_reason(service.config) is not None:
-                pass  # a config knob, not a surprise: silent fallback
-            else:
-                try:
-                    return "vector", VectorSwitch(
-                        service.compiled,
-                        service.config,
-                        native=service.native,
-                        epoch_jobs=service.epoch_jobs,
-                    )
-                except VectorUnsupported as exc:
-                    _warn_fallback(
-                        f"vector engine: unsupported program shape ({exc}); "
-                        "falling back to the fast engine"
-                    )
-            engine = "fast"
-        cls = ReferenceSwitch if engine == "dense" else MP5Switch
-        return engine, cls(service.compiled, service.config)
+            return select_vector_engine(
+                service.compiled,
+                service.config,
+                native=service.native,
+                faulted=schedule is not None and bool(schedule.faults),
+            )
+        cls = ReferenceSwitch if service.engine == "dense" else MP5Switch
+        return service.engine, cls(service.compiled, service.config)
 
     @property
     def injector(self):
@@ -325,7 +301,6 @@ class SwitchService:
         metrics_window: int = 100,
         metrics_retention: Optional[int] = None,
         native: Optional[bool] = None,
-        epoch_jobs: Optional[int] = None,
         pump_slice: int = PUMP_SLICE,
         program_name: Optional[str] = None,
     ):
@@ -343,7 +318,6 @@ class SwitchService:
             raise ConfigError("metrics_retention must be >= 2 window rows")
         self.metrics_retention = metrics_retention
         self.native = native
-        self.epoch_jobs = epoch_jobs
         self.queue_depth = queue_depth
         self.pump_slice = pump_slice
         if program is None:

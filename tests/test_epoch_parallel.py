@@ -1,24 +1,20 @@
-"""Epoch/residue-class parallel execution must be invisible in results.
+"""The vector engine's epoch schedule and kernel tiers must be
+invisible in results.
 
-Phase A (:func:`repro.mp5.epochs.build_epoch_schedule`) fixes the run's
-task DAG before any stateful service executes, so the DAG — and every
-downstream artifact — must be identical at any worker count and on any
-kernel tier. These tests pin that contract: schedule determinism,
-residue-partition disjointness/coverage, byte-identical ``results.json``
-across ``epoch_jobs`` and ``native`` settings, graceful rollback when
-the worker pool breaks mid-plan, and the deduplicated fallback warning.
+Phase A (:class:`repro.mp5.epochs.EpochStreamer`) fixes the run's task
+DAG before any stateful service executes, so the DAG — and every
+downstream artifact — must be identical on any kernel tier. These tests
+pin that contract: schedule determinism, byte-identical
+``results.json`` with the ``native`` tier on and off, and the
+deduplicated fallback warning.
 """
 
-import numpy as np
 import pytest
 
-import repro.harness.parallel as par
 from repro.cli import main
-from repro.harness.parallel import shutdown_pool
 from repro.harness.runall import SCALES, run_all
 from repro.mp5 import VectorSwitch
 from repro.mp5.vector import _warn_fallback, reset_fallback_warnings
-from repro.workloads import clone_packets
 from repro.workloads.synthetic import make_sensitivity_program, sensitivity_trace
 
 
@@ -27,12 +23,11 @@ def _teardown():
     reset_fallback_warnings()
     yield
     reset_fallback_warnings()
-    shutdown_pool()
 
 
-def _run_switch(num_packets=3000, seed=0, native=None, epoch_jobs=None):
+def _run_switch(num_packets=3000, seed=0, native=None):
     program = make_sensitivity_program(2, 64)
-    switch = VectorSwitch(program, None, native=native, epoch_jobs=epoch_jobs)
+    switch = VectorSwitch(program, None, native=native)
     stats = switch.run(sensitivity_trace(num_packets, 4, 2, 64, seed=seed))
     return switch, stats
 
@@ -46,16 +41,6 @@ def test_dag_signature_deterministic_across_runs():
     a, _ = _run_switch()
     b, _ = _run_switch()
     assert a._last_schedule.dag_signature() == b._last_schedule.dag_signature()
-
-
-@pytest.mark.parametrize("epoch_jobs", (None, 1, 2, 4))
-def test_dag_signature_independent_of_workers(epoch_jobs):
-    base, _ = _run_switch()
-    other, _ = _run_switch(epoch_jobs=epoch_jobs)
-    assert (
-        other._last_schedule.dag_signature()
-        == base._last_schedule.dag_signature()
-    )
 
 
 def test_dag_signature_independent_of_native_tier():
@@ -74,61 +59,20 @@ def test_dag_signature_varies_with_input():
 
 
 # ---------------------------------------------------------------------------
-# Residue partition
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("nparts", (2, 3, 4))
-def test_partition_covers_stream_disjointly(nparts):
-    switch, _ = _run_switch()
-    sched = switch._last_schedule
-    checked = 0
-    for pi, idx_col in enumerate(sched.acc_idx):
-        if idx_col is None:
-            continue
-        rows_all, _pops = sched.plan_stream(pi)
-        parts = sched.partition(pi, nparts)
-        seen = np.concatenate([rows for rows, _i, _o in parts])
-        # Every row exactly once (order may differ: parts are
-        # residue-major, the stream is epoch-major).
-        assert sorted(seen.tolist()) == sorted(rows_all.tolist())
-        for w_rows, w_idx, offsets in parts:
-            residues = set((w_idx % nparts).tolist())
-            assert len(residues) == 1  # one residue class per part
-            assert np.array_equal(w_idx, idx_col[w_rows])
-            assert offsets[0] == 0 and offsets[-1] == w_rows.shape[0]
-            assert np.all(np.diff(offsets) > 0)
-        checked += 1
-    assert checked  # the sensitivity program has indexed plans
-
-
-# ---------------------------------------------------------------------------
 # End-to-end byte identity
 # ---------------------------------------------------------------------------
 
 
-def test_stats_identical_across_workers_and_tiers():
+def test_stats_identical_across_tiers():
     base_switch, base_stats = _run_switch(num_packets=6000)
-    base_regs = dict(base_switch.registers)
-    for kwargs in (
-        dict(native=True),
-        dict(epoch_jobs=2),
-        dict(native=True, epoch_jobs=2),
-        dict(epoch_jobs=4),
-    ):
-        switch, stats = _run_switch(num_packets=6000, **kwargs)
-        assert stats == base_stats, kwargs
-        assert dict(switch.registers) == base_regs, kwargs
+    switch, stats = _run_switch(num_packets=6000, native=True)
+    assert stats == base_stats
+    assert dict(switch.registers) == dict(base_switch.registers)
 
 
 def test_runall_results_identical_across_epoch_settings(tmp_path):
     paths = {}
-    for name, kwargs in (
-        ("base", dict()),
-        ("native", dict(native=True)),
-        ("jobs2", dict(epoch_jobs=2)),
-        ("native_jobs2", dict(native=True, epoch_jobs=2)),
-    ):
+    for name, kwargs in (("base", dict()), ("native", dict(native=True))):
         out = tmp_path / name
         run_all(out_dir=str(out), scale="tiny", engine="vector", **kwargs)
         paths[name] = (out / "results.json").read_bytes()
@@ -141,25 +85,6 @@ def test_xlarge_scale_defined():
     assert knobs["engine"] == "vector"
     assert knobs["native"] is True
     assert knobs["sensitivity_packets"] < knobs["num_packets"]
-
-
-# ---------------------------------------------------------------------------
-# Pool failure rollback
-# ---------------------------------------------------------------------------
-
-
-def test_pool_breakage_rolls_back_and_reexecutes(monkeypatch):
-    """A mid-plan pool failure must not double-apply register updates:
-    the executor restores its snapshot and redoes the plan serially."""
-    base_switch, base_stats = _run_switch(num_packets=12000)
-
-    def boom(*args, **kwargs):
-        raise par.PoolBroken("worker died")
-
-    monkeypatch.setattr(par, "pool_map_strict", boom)
-    switch, stats = _run_switch(num_packets=12000, epoch_jobs=2)
-    assert stats == base_stats
-    assert dict(switch.registers) == dict(base_switch.registers)
 
 
 # ---------------------------------------------------------------------------

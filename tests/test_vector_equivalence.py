@@ -350,15 +350,12 @@ def _stream_vector(
     config,
     chunk,
     native=None,
-    epoch_jobs=None,
     monitor=None,
     metrics=None,
 ):
     """Feed ``trace`` in ``chunk``-sized batches with a watermark-gated
     pump after every feed — the exact loop the service daemon runs."""
-    switch = VectorSwitch(
-        program, config, native=native, epoch_jobs=epoch_jobs
-    )
+    switch = VectorSwitch(program, config, native=native)
     if monitor is not None or metrics is not None:
         switch.attach_observability(metrics=metrics, monitor=monitor)
     switch.start()
@@ -395,15 +392,33 @@ def test_vector_streaming_matches_batch(chunk):
     assert _snapshot(switch, stats) == ref
 
 
-@pytest.mark.parametrize(
-    "knobs",
-    [dict(native=True), dict(epoch_jobs=2), dict(native=True, epoch_jobs=2)],
-    ids=["native", "jobs2", "native_jobs2"],
-)
-def test_vector_streaming_matches_batch_native_and_jobs(knobs):
-    """The native kernel tier and the epoch pool are performance knobs
-    only — streamed execution with them on still equals the plain batch
-    run."""
+def test_vector_run_services_epoch_by_epoch():
+    """run() is the streaming loop with one feed: it services every
+    epoch in which Phase A popped a row, one step per epoch — the same
+    count the fed-and-pumped loop reports."""
+    program = make_sensitivity_program(num_stateful=4, register_size=64)
+    config = MP5Config(num_pipelines=4, remap_period=3)
+    switch = VectorSwitch(program, config)
+    switch.run(sensitivity_trace(600, 4, 4, 64, seed=0))
+    sched = switch._last_schedule
+    assert sched.remap_records  # remapping workload: many epochs
+    # Epoch e holds the pops after boundary e-1, through boundary e.
+    boundaries = np.array([b for b, _moved in sched.remap_records])
+    popped = set()
+    for pops in sched.pop_tick:
+        pops = pops[pops >= 0]
+        popped.update(np.searchsorted(boundaries, pops, side="left").tolist())
+    serviced = switch.stream_stats()["epochs_serviced"]
+    assert serviced == len(popped) > 0
+    streamed, _stats = _stream_vector(
+        program, sensitivity_trace(600, 4, 4, 64, seed=0), config, chunk=64
+    )
+    assert streamed.stream_stats()["epochs_serviced"] == serviced
+
+
+def test_vector_streaming_matches_batch_native():
+    """The native kernel tier is a performance knob only — streamed
+    execution with it on still equals the plain one-shot run."""
     program = make_sensitivity_program(num_stateful=4, register_size=64)
     config = MP5Config(num_pipelines=4, remap_period=3)
 
@@ -415,7 +430,7 @@ def test_vector_streaming_matches_batch_native_and_jobs(knobs):
         sensitivity_trace(600, 4, 4, 64, seed=0),
         config,
         chunk=64,
-        **knobs,
+        native=True,
     )
     assert _snapshot(switch, stats) == ref
 

@@ -11,7 +11,7 @@ module pins down:
   ordering, max_ticks cuts),
 * the metrics registry rolls identical windowed series and histograms,
 * the invariant monitor sees the same alert stream (zero on fault-free
-  runs) and health verdict at every ``native``/``epoch_jobs`` setting,
+  runs) and health verdict on every ``native`` kernel tier,
 * attaching sinks never changes the results (stats + registers), and
 * the profiler's vector channels (phase spans, kernel tiers, epochs)
   populate and surface through ``trace-summary``.
@@ -168,10 +168,9 @@ def test_trace_parity_empty_trace():
 
 
 @pytest.mark.parametrize("native", (None, True), ids=("numpy", "native"))
-@pytest.mark.parametrize("epoch_jobs", (None, 2), ids=("serial", "jobs2"))
-def test_monitor_zero_alerts_every_tier(native, epoch_jobs):
+def test_monitor_zero_alerts_every_tier(native):
     """Fault-free vector runs stay alert-free — and byte-identical to
-    the fast engine — at every native/epoch-jobs combination."""
+    the fast engine — on every kernel tier."""
     program, mk, config = _sensitivity_inputs()
     vec = _run_observed(
         run_mp5_vector,
@@ -179,7 +178,6 @@ def test_monitor_zero_alerts_every_tier(native, epoch_jobs):
         mk(),
         config,
         native=native,
-        epoch_jobs=epoch_jobs,
     )
     fast = _run_observed(run_mp5, program, mk(), config)
     _assert_parity(vec, fast)
@@ -225,7 +223,7 @@ def test_profiler_vector_channels_populate():
     assert set(profiler.spans) >= {"phase_a", "phase_b", "trace_reconstruct"}
     assert profiler.kernels  # every stateful stage records a tier
     assert all(
-        entry["tier"] in ("pool", "njit", "numpy", "python")
+        entry["tier"] in ("njit", "numpy", "python")
         for entry in profiler.kernels.values()
     )
     assert profiler.epochs and profiler.epochs[0]["start"] == 0
@@ -242,7 +240,7 @@ def test_profiler_scalar_channels_stay_empty():
     fast = _run_observed(run_mp5, program, mk(), config, profile=True)
     profiler = fast["profiler"]
     assert not profiler.spans and not profiler.kernels
-    assert not profiler.pool and not profiler.epochs
+    assert not profiler.epochs
     assert "Vector phase breakdown" not in profiler.report()
 
 
